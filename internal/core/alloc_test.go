@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/matchbench"
 	"repro/internal/segment"
+	"repro/internal/trace"
 )
 
 // Steady-state allocation gates for the matcher hot path. The slab
@@ -120,5 +121,50 @@ func TestFeedSteadyStateAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// repeatedRank is one rank's raw event stream of nseg segments that all
+// share one shape and one timing, so every segment after the first few
+// matches a stored representative under every method.
+func repeatedRank(nseg int) []trace.Event {
+	events := make([]trace.Event, 0, 4*nseg)
+	for i := range nseg {
+		at := trace.Time(100 * i)
+		events = append(events,
+			trace.Event{Name: "main.1", Kind: trace.KindMarkBegin, Enter: at, Exit: at, Peer: trace.NoPeer, Root: trace.NoPeer},
+			trace.Event{Name: "do_work", Kind: trace.KindCompute, Enter: at + 1, Exit: at + 40, Peer: trace.NoPeer, Root: trace.NoPeer},
+			trace.Event{Name: "MPI_Send", Kind: trace.KindSend, Enter: at + 41, Exit: at + 60, Peer: 1, Tag: 3, Bytes: 4096, Root: trace.NoPeer},
+			trace.Event{Name: "main.1", Kind: trace.KindMarkEnd, Enter: at + 80, Exit: at + 80, Peer: trace.NoPeer, Root: trace.NoPeer},
+		)
+	}
+	return events
+}
+
+// TestFeedEventsPerSegmentAllocFree: RankReducer.FeedEvents over a rank
+// whose segments match a stored representative allocates the same number
+// of objects for 1,000 segments as for 10,000 — the splitter reuses the
+// delivered segment and the reducer stores clones only, so a matched
+// segment costs no allocation.
+func TestFeedEventsPerSegmentAllocFree(t *testing.T) {
+	small, large := repeatedRank(1000), repeatedRank(10000)
+	for _, method := range MethodNames {
+		t.Run(method, func(t *testing.T) {
+			p, err := DefaultMethod(method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := func(events []trace.Event) float64 {
+				return testing.AllocsPerRun(3, func() {
+					r := NewRankReducer(0, p)
+					if err := r.FeedEvents(0, events); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if a, b := allocs(small), allocs(large); a != b {
+				t.Errorf("%s: FeedEvents allocates %.0f objects for 1,000 segments but %.0f for 10,000", method, a, b)
+			}
+		})
 	}
 }

@@ -69,6 +69,5 @@ func (iterAvg) Absorb(matched, cand *segment.Segment) bool {
 		matched.Events[i].Exit = avg(matched.Events[i].Exit, cand.Events[i].Exit)
 	}
 	matched.Weight++
-	matched.ResetMeas() // the averaged stamps invalidate the cached vector
 	return true
 }

@@ -77,9 +77,10 @@ func (r *RankReducer) Feed(s *segment.Segment) {
 // FeedEvents splits one rank's raw event stream incrementally and feeds
 // every completed segment, fusing segment.Splitter with the reducer so a
 // decoded rank trace never holds its segment list in memory. Because the
-// reducer clones what it keeps, each delivered segment's event storage
-// is recycled into the splitter, and the execution log is pre-grown to
-// the stream's segment count.
+// reducer clones what it keeps, each delivered segment — header and
+// event storage — is recycled into the splitter, so matched segments
+// allocate nothing, and the execution log is pre-grown to the stream's
+// segment count.
 func (r *RankReducer) FeedEvents(rank int, events []trace.Event) error {
 	nseg := 0
 	for i := range events {

@@ -28,8 +28,7 @@ type Segment struct {
 	// folds matches into a running average and increments Weight.
 	Weight int
 
-	sig  Signature // cached; computed on first use
-	meas []float64 // cached Measurements; computed on first use of Meas
+	sig Signature // cached; computed on first use
 }
 
 // Signature identifies the pattern class of a segment: context plus the
@@ -38,48 +37,56 @@ type Segment struct {
 // signatures are equal.
 type Signature uint64
 
-// FNV-64a parameters, inlined so signature hashing runs without
-// interface dispatch or decimal formatting on the per-segment hot path.
+// Signature hashing folds 64-bit words into the state with an
+// xor-multiply followed by a shift-xor, so the product's high bits reach
+// the low ones. Each step is a bijection of the state for a fixed word,
+// so two word sequences of equal length that differ in a single word
+// always hash differently. sigSeed is an arbitrary non-zero start state.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	sigSeed = 0x9e3779b97f4a7c15
+	sigMul  = 0xbf58476d1ce4e5b9
 )
 
-// fnvStr folds a length-prefixed string into an FNV-64a state.
-func fnvStr(h uint64, x string) uint64 {
-	h = fnvInt(h, uint64(len(x)))
-	for i := 0; i < len(x); i++ {
-		h = (h ^ uint64(x[i])) * fnvPrime64
-	}
-	return h
+// sigMix folds word w into state h.
+func sigMix(h, w uint64) uint64 {
+	h = (h ^ w) * sigMul
+	return h ^ h>>31
 }
 
-// fnvInt folds a 64-bit value into an FNV-64a state byte by byte.
-func fnvInt(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
+// sigStr folds a length-prefixed string into h eight bytes at a time;
+// the final partial word is zero-padded, which the length prefix makes
+// unambiguous.
+func sigStr(h uint64, x string) uint64 {
+	h = sigMix(h, uint64(len(x)))
+	for ; len(x) >= 8; x = x[8:] {
+		h = sigMix(h, uint64(x[0])|uint64(x[1])<<8|uint64(x[2])<<16|uint64(x[3])<<24|
+			uint64(x[4])<<32|uint64(x[5])<<40|uint64(x[6])<<48|uint64(x[7])<<56)
+	}
+	if len(x) > 0 {
+		var w uint64
+		for i := len(x) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(x[i])
+		}
+		h = sigMix(h, w)
 	}
 	return h
 }
 
 // Sig returns the segment's signature, computing and caching it on first
-// call.
+// call. The signature is an in-memory bucket key only (it is never
+// serialized), so its hash function is free to change between versions.
 func (s *Segment) Sig() Signature {
 	if s.sig != 0 {
 		return s.sig
 	}
-	h := uint64(fnvOffset64)
-	h = fnvStr(h, s.Context)
-	h = fnvInt(h, uint64(len(s.Events)))
+	h := sigStr(sigSeed, s.Context)
+	h = sigMix(h, uint64(len(s.Events)))
 	for i := range s.Events {
 		e := &s.Events[i]
-		h = fnvStr(h, e.Name)
-		h = fnvInt(h, uint64(e.Kind))
-		h = fnvInt(h, uint64(e.Peer))
-		h = fnvInt(h, uint64(e.Tag))
-		h = fnvInt(h, uint64(e.Bytes))
-		h = fnvInt(h, uint64(e.Root))
+		h = sigStr(h, e.Name)
+		h = sigMix(h, uint64(e.Kind)<<32|uint64(uint32(e.Root)))
+		h = sigMix(h, uint64(uint32(e.Peer))<<32|uint64(uint32(e.Tag)))
+		h = sigMix(h, uint64(e.Bytes))
 	}
 	s.sig = Signature(h)
 	if s.sig == 0 {
@@ -93,7 +100,7 @@ func (s *Segment) Sig() Signature {
 func (s *Segment) ResetSig() { s.sig = 0 }
 
 // ForceSig overrides the cached signature. It exists solely so tests can
-// simulate FNV-64 signature collisions between non-comparable segments —
+// simulate 64-bit signature collisions between non-comparable segments —
 // infeasible to construct organically — and exercise the collision
 // defenses downstream. Never call it outside tests.
 func (s *Segment) ForceSig(sig Signature) { s.sig = sig }
@@ -127,23 +134,6 @@ func (s *Segment) Measurements(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Meas returns the segment's measurement vector (see Measurements),
-// computing and caching it on first call. Stored representatives are
-// compared against every later instance of their pattern class, so the
-// cache turns the per-comparison vector build into a one-time cost. The
-// caller must not modify the returned slice; after mutating measurement
-// fields (End, event stamps) call ResetMeas.
-func (s *Segment) Meas() []float64 {
-	if s.meas == nil {
-		s.meas = s.Measurements(make([]float64, 0, s.NumMeasurements()))
-	}
-	return s.meas
-}
-
-// ResetMeas clears the cached measurement vector; call it after mutating
-// a segment's timing fields (iter_avg's Absorb does).
-func (s *Segment) ResetMeas() { s.meas = nil }
 
 // StampVector appends the wavelet input vector: the relative start (always
 // 0), every event enter/exit stamp, and the segment end (paper §3.2.1),

@@ -15,9 +15,10 @@ type Splitter struct {
 	rank int
 	pos  int // events consumed, for error positions
 	cur  *Segment
-	// free is recycled event storage donated back via Recycle; the next
-	// begin marker adopts it instead of growing a fresh slice.
-	free []trace.Event
+	// spare is a delivered segment donated back via Recycle; the next
+	// begin marker resets and reuses it — header and event storage —
+	// instead of allocating a fresh segment.
+	spare *Segment
 }
 
 // NewSplitter returns a Splitter for the given rank's event stream.
@@ -39,8 +40,13 @@ func (sp *Splitter) Feed(e trace.Event) (*Segment, error) {
 			return nil, fmt.Errorf("segment: rank %d event %d: nested segment %q inside %q",
 				sp.rank, i, e.Name, sp.cur.Context)
 		}
-		sp.cur = &Segment{Context: e.Name, Rank: sp.rank, Start: e.Enter, Weight: 1, Events: sp.free}
-		sp.free = nil
+		s := sp.spare
+		sp.spare = nil
+		if s == nil {
+			s = new(Segment)
+		}
+		*s = Segment{Context: e.Name, Rank: sp.rank, Start: e.Enter, Weight: 1, Events: s.Events[:0]}
+		sp.cur = s
 		return nil, nil
 	case trace.KindMarkEnd:
 		if sp.cur == nil {
@@ -80,14 +86,14 @@ func (sp *Splitter) Finish() error {
 // been fed without its matching end).
 func (sp *Splitter) Open() bool { return sp.cur != nil }
 
-// Recycle donates a delivered segment's event storage back to the
-// splitter for the next segment, eliminating the per-segment slice
-// growth in fused split-and-consume loops. The caller must be finished
-// with s and must not have retained s.Events or anything aliasing it
-// (Segment.Clone copies the events, so cloned-and-kept segments are
-// safe to recycle).
+// Recycle donates a delivered segment back to the splitter: the next
+// begin marker overwrites s in place and reuses its event storage, so
+// fused split-and-consume loops allocate nothing per segment. The caller
+// gives up s entirely — it must not keep s, s.Events, or anything
+// aliasing either (Segment.Clone copies the events, so a clone taken
+// before recycling stays intact).
 func (sp *Splitter) Recycle(s *Segment) {
-	if s != nil && cap(s.Events) > cap(sp.free) {
-		sp.free = s.Events[:0]
+	if s != nil {
+		sp.spare = s
 	}
 }

@@ -139,26 +139,84 @@ func TestSplitterErrors(t *testing.T) {
 	}
 }
 
-func TestSegmentMeasCache(t *testing.T) {
-	s := &Segment{End: 49, Events: []trace.Event{{Name: "w", Kind: trace.KindCompute, Enter: 1, Exit: 17}}}
-	want := s.Measurements(nil)
-	got := s.Meas()
-	if len(got) != len(want) {
-		t.Fatalf("Meas len %d, want %d", len(got), len(want))
+// TestSplitterRecycleReuseSafety: a recycling splitter rewrites the
+// donated header in place for the next segment, yet a clone taken before
+// recycling, and every segment returned by batch Split, keeps its own
+// context, start, end, events and signature.
+func TestSplitterRecycleReuseSafety(t *testing.T) {
+	rt := &trace.RankTrace{Rank: 2, Events: []trace.Event{
+		mark("init", trace.KindMarkBegin, 10),
+		comp("setup_grid", 11, 20),
+		comp("do_work", 21, 30),
+		comp("do_work", 31, 40),
+		mark("init", trace.KindMarkEnd, 45),
+		mark("main.1", trace.KindMarkBegin, 50),
+		comp("MPI_Barrier", 52, 60),
+		mark("main.1", trace.KindMarkEnd, 61),
+		mark("final", trace.KindMarkBegin, 70),
+		comp("write_output", 71, 90),
+		comp("MPI_Finalize", 91, 99),
+		mark("final", trace.KindMarkEnd, 100),
+	}}
+	type snap struct {
+		ctx        string
+		start, end trace.Time
+		events     []trace.Event
+		sig        Signature
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Meas[%d] = %v, want %v", i, got[i], want[i])
+	take := func(s *Segment) snap {
+		return snap{s.Context, s.Start, s.End, append([]trace.Event(nil), s.Events...), s.Sig()}
+	}
+	check := func(what string, s *Segment, want snap) {
+		t.Helper()
+		got := take(s)
+		if got.ctx != want.ctx || got.start != want.start || got.end != want.end || got.sig != want.sig ||
+			len(got.events) != len(want.events) {
+			t.Fatalf("%s changed: got %+v, want %+v", what, got, want)
+		}
+		for i := range want.events {
+			if got.events[i] != want.events[i] {
+				t.Fatalf("%s event %d changed: got %+v, want %+v", what, i, got.events[i], want.events[i])
+			}
 		}
 	}
-	// Cached: same backing array on second call.
-	if again := s.Meas(); &again[0] != &got[0] {
-		t.Error("Meas recomputed instead of returning the cache")
+
+	batch, err := Split(rt)
+	if err != nil {
+		t.Fatalf("Split: %v", err)
 	}
-	// Mutation + ResetMeas recomputes.
-	s.Events[0].Exit = 18
-	s.ResetMeas()
-	if got = s.Meas(); got[2] != 18 {
-		t.Errorf("after ResetMeas, Meas[2] = %v, want 18", got[2])
+	batchWant := make([]snap, len(batch))
+	for i, s := range batch {
+		batchWant[i] = take(s)
+	}
+
+	sp := NewSplitter(rt.Rank)
+	var kept []*Segment
+	var keptWant []snap
+	var headers []*Segment
+	for _, e := range rt.Events {
+		s, err := sp.Feed(e)
+		if err != nil {
+			t.Fatalf("Feed: %v", err)
+		}
+		if s == nil {
+			continue
+		}
+		headers = append(headers, s)
+		keptWant = append(keptWant, take(s))
+		kept = append(kept, s.Clone())
+		sp.Recycle(s)
+	}
+	if err := sp.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if len(headers) != 3 || headers[1] != headers[0] || headers[2] != headers[0] {
+		t.Fatal("recycled segment header was not reused for the following segments")
+	}
+	for i := range kept {
+		check("clone of segment "+keptWant[i].ctx, kept[i], keptWant[i])
+	}
+	for i := range batch {
+		check("batch segment "+batchWant[i].ctx, batch[i], batchWant[i])
 	}
 }

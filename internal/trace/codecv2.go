@@ -464,7 +464,12 @@ func AppendEventsV2(dst []byte, nt NameIDs, events []Event) []byte {
 
 // minEventV2Size is the smallest possible encoded event (eight one-byte
 // varints); record counts are validated against it before allocating.
-const minEventV2Size = 8
+// maxEventV2Size is the largest well-formed one: with that many payload
+// bytes left, no varint read in the next record can run short.
+const (
+	minEventV2Size = 8
+	maxEventV2Size = 8 * binary.MaxVarintLen64
+)
 
 // ParseEventsV2 parses n v2 event records from c, resolving names
 // against the table. It returns nil for n == 0, matching the v1
@@ -473,9 +478,15 @@ func ParseEventsV2(c *Cursor, names []string, n uint32) ([]Event, error) {
 	return ParseEventsV2Into(c, names, n, nil)
 }
 
-// ParseEventsV2Into is ParseEventsV2 writing into dst's storage (appended
-// from dst[:0]; grown as needed). Decoders pass recycled event buffers so
-// steady-state decodes reuse storage instead of allocating per rank.
+// ParseEventsV2Into is ParseEventsV2 writing into dst's storage when its
+// capacity holds n events (a fresh slice otherwise). Decoders pass
+// recycled event buffers so steady-state decodes reuse storage instead
+// of allocating per rank.
+//
+// Records at least maxEventV2Size bytes before the payload end take a
+// fast path that decodes straight into the destination slot; any anomaly
+// there re-reads the record through the general path, which reports it,
+// so both paths accept and reject exactly the same bytes.
 func ParseEventsV2Into(c *Cursor, names []string, n uint32, dst []Event) ([]Event, error) {
 	if n == 0 {
 		return nil, nil
@@ -486,64 +497,134 @@ func ParseEventsV2Into(c *Cursor, names []string, n uint32, dst []Event) ([]Even
 	if uint64(c.Len()) < uint64(n)*minEventV2Size {
 		return nil, fmt.Errorf("trace: %d events declared but only %d payload bytes remain", n, c.Len())
 	}
-	events := dst[:0]
-	if cap(events) == 0 {
-		events = make([]Event, 0, n)
+	// Recycled storage that is too small is replaced, not grown: its
+	// stale events need no copying.
+	var events []Event
+	if cap(dst) >= int(n) {
+		events = dst[:n]
+	} else {
+		events = make([]Event, n)
 	}
 	var prev Time
-	for j := uint32(0); j < n; j++ {
-		nameID, err := c.Uvarint()
-		if err != nil {
-			return nil, err
+	for j := range events {
+		ev := &events[j]
+		if c.Len() < maxEventV2Size || !c.eventFast(names, prev, ev) {
+			if err := c.event(names, prev, ev); err != nil {
+				return nil, err
+			}
 		}
-		if nameID >= uint64(len(names)) {
-			return nil, fmt.Errorf("trace: name id %d out of range (%d names)", nameID, len(names))
-		}
-		kind, err := c.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if kind >= uint64(numKinds) {
-			return nil, fmt.Errorf("trace: unknown event kind %d", kind)
-		}
-		dEnter, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		dur, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		peer, err := c.varint32("peer")
-		if err != nil {
-			return nil, err
-		}
-		tag, err := c.varint32("tag")
-		if err != nil {
-			return nil, err
-		}
-		nbytes, err := c.Varint()
-		if err != nil {
-			return nil, err
-		}
-		root, err := c.varint32("root")
-		if err != nil {
-			return nil, err
-		}
-		enter := prev + dEnter
-		prev = enter
-		events = append(events, Event{
-			Name:  names[nameID],
-			Kind:  EventKind(kind),
-			Enter: enter,
-			Exit:  enter + dur,
-			Peer:  peer,
-			Tag:   tag,
-			Bytes: nbytes,
-			Root:  root,
-		})
+		prev = ev.Enter
 	}
 	return events, nil
+}
+
+// eventFast decodes the record at the cursor into ev, delta-decoding its
+// enter stamp against prev; at least maxEventV2Size bytes must remain.
+// One-byte varints are read inline. It reports false, leaving the cursor
+// unmoved, on anything the general path must judge: an overlong varint,
+// a name id or kind out of range, or a peer, tag or root overflowing
+// int32.
+func (c *Cursor) eventFast(names []string, prev Time, ev *Event) bool {
+	b, p := c.b, c.off
+	var f [8]uint64 // nameID, kind, Δenter, duration, peer, tag, bytes, root
+	for k := range f {
+		if x := b[p]; x < 0x80 {
+			f[k] = uint64(x)
+			p++
+			continue
+		}
+		v, n := binary.Uvarint(b[p:])
+		if n <= 0 {
+			return false
+		}
+		f[k] = v
+		p += n
+	}
+	peer, tag, root := unzigzag(f[4]), unzigzag(f[5]), unzigzag(f[7])
+	if f[0] >= uint64(len(names)) || f[1] >= uint64(numKinds) ||
+		int64(int32(peer)) != peer || int64(int32(tag)) != tag || int64(int32(root)) != root {
+		return false
+	}
+	enter := prev + unzigzag(f[2])
+	*ev = Event{
+		Name:  names[f[0]],
+		Kind:  EventKind(f[1]),
+		Enter: enter,
+		Exit:  enter + unzigzag(f[3]),
+		Peer:  int32(peer),
+		Tag:   int32(tag),
+		Bytes: unzigzag(f[6]),
+		Root:  int32(root),
+	}
+	c.off = p
+	return true
+}
+
+// unzigzag maps a zigzag-encoded varint payload back to its signed
+// value, as binary.Varint does.
+func unzigzag(u uint64) int64 {
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+// event decodes the record at the cursor into ev through the checked
+// Cursor reads, delta-decoding its enter stamp against prev. It is the
+// general path: every validation and error message of the v2 event
+// grammar lives here.
+func (c *Cursor) event(names []string, prev Time, ev *Event) error {
+	nameID, err := c.Uvarint()
+	if err != nil {
+		return err
+	}
+	if nameID >= uint64(len(names)) {
+		return fmt.Errorf("trace: name id %d out of range (%d names)", nameID, len(names))
+	}
+	kind, err := c.Uvarint()
+	if err != nil {
+		return err
+	}
+	if kind >= uint64(numKinds) {
+		return fmt.Errorf("trace: unknown event kind %d", kind)
+	}
+	dEnter, err := c.Varint()
+	if err != nil {
+		return err
+	}
+	dur, err := c.Varint()
+	if err != nil {
+		return err
+	}
+	peer, err := c.varint32("peer")
+	if err != nil {
+		return err
+	}
+	tag, err := c.varint32("tag")
+	if err != nil {
+		return err
+	}
+	nbytes, err := c.Varint()
+	if err != nil {
+		return err
+	}
+	root, err := c.varint32("root")
+	if err != nil {
+		return err
+	}
+	enter := prev + dEnter
+	*ev = Event{
+		Name:  names[nameID],
+		Kind:  EventKind(kind),
+		Enter: enter,
+		Exit:  enter + dur,
+		Peer:  peer,
+		Tag:   tag,
+		Bytes: nbytes,
+		Root:  root,
+	}
+	return nil
 }
 
 // varint32 reads a signed varint that must fit in an int32 (peer, tag,
