@@ -216,3 +216,33 @@ func BenchmarkPipelineReduce(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkTraceSignature times the content signature that keys the
+// service's representative cache (decode plus SHA-256 over the decoded
+// events), for both container versions of an interference workload and
+// of Sweep3D. Every /v1/reduce request pays it, cache hits included.
+func BenchmarkTraceSignature(b *testing.B) {
+	for _, name := range []string{"NtoN_32", "sweep3d_32p"} {
+		full, err := sharedRunner(b).Trace(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, enc := range []struct {
+			format string
+			encode func(io.Writer, *trace.Trace) error
+		}{{"v1", trace.Encode}, {"v2", trace.EncodeV2}} {
+			var buf bytes.Buffer
+			if err := enc.encode(&buf, full); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/"+enc.format, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := trace.SignatureOf(bytes.NewReader(buf.Bytes())); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

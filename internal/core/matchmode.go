@@ -31,12 +31,17 @@ import (
 //     buckets. It applies to avgWave/haarWave; a match can be missed
 //     when no hash table collides, so the reduction may store extra
 //     representatives (degree of matching can only drop, never rise).
-//   - MatchModeAuto picks the best *measured* structure per policy:
-//     LSH for the wavelet methods, a VP-tree for Manhattan, Euclidean,
-//     and higher Minkowski orders, and the exact scan otherwise —
-//     including Chebyshev and absDiff, whose trees lose to the linear
-//     scan (BENCH_matcher.json), so auto is never slower than exact by
-//     construction.
+//   - MatchModeAuto picks one structure per policy: LSH for the
+//     wavelet methods, a VP-tree for Manhattan, Euclidean, and higher
+//     Minkowski orders, and the exact scan otherwise — including
+//     Chebyshev and absDiff, whose trees lose to the linear scan. Auto
+//     is not guaranteed to beat exact. On BENCH_matcher.json's
+//     512-representative worst case the Euclidean VP-tree scans at
+//     0.49× of the fused exact scan in vptree mode. Its auto row reads
+//     0.82× scan and 1.19× reduce, but those are single samples: rows
+//     that run the plain scan under a non-exact mode spread from 0.63×
+//     to 1.46× of exact, so about ±0.4× is noise. Manhattan (2.4× scan
+//     under auto) is the tree that wins clearly.
 //
 // Policies with no supported index under a mode (relDiff, whose
 // per-measurement relative test is not a metric, and the counting

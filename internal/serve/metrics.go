@@ -149,11 +149,18 @@ type Metrics struct {
 	CacheEntries Gauge
 	// ReduceSeconds observes end-to-end /v1/reduce latency.
 	ReduceSeconds *Histogram
+	// SignatureSeconds observes the content-signature pass every
+	// /v1/reduce upload makes before the cache lookup — on a cache hit,
+	// most of the request's server time.
+	SignatureSeconds *Histogram
 }
 
 // NewMetrics returns a registry with histograms initialized.
 func NewMetrics() *Metrics {
-	return &Metrics{ReduceSeconds: NewHistogram(DefaultLatencyBuckets()...)}
+	return &Metrics{
+		ReduceSeconds:    NewHistogram(DefaultLatencyBuckets()...),
+		SignatureSeconds: NewHistogram(DefaultLatencyBuckets()...),
+	}
 }
 
 // WriteTo renders every metric in the Prometheus text exposition
@@ -180,19 +187,22 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	gauge("tracered_cache_bytes", "Bytes held by the representative cache.", m.CacheBytes.Value())
 	gauge("tracered_cache_entries", "Entries held by the representative cache.", m.CacheEntries.Value())
 
-	h := m.ReduceSeconds
-	h.mu.Lock()
-	fmt.Fprintf(&b, "# HELP tracered_reduce_seconds End-to-end /v1/reduce latency.\n# TYPE tracered_reduce_seconds histogram\n")
-	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(&b, "tracered_reduce_seconds_bucket{le=%q} %d\n", trimFloat(bound), cum)
+	histogram := func(name, help string, h *Histogram) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+		var cum int64
+		for i, bound := range h.bounds {
+			cum += h.counts[i]
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, trimFloat(bound), cum)
+		}
+		cum += h.counts[len(h.bounds)]
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+		fmt.Fprintf(&b, "%s_sum %g\n", name, h.sum)
+		fmt.Fprintf(&b, "%s_count %d\n", name, h.samples)
 	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(&b, "tracered_reduce_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "tracered_reduce_seconds_sum %g\n", h.sum)
-	fmt.Fprintf(&b, "tracered_reduce_seconds_count %d\n", h.samples)
-	h.mu.Unlock()
+	histogram("tracered_reduce_seconds", "End-to-end /v1/reduce latency.", m.ReduceSeconds)
+	histogram("tracered_signature_seconds", "Content-signature pass of each /v1/reduce upload.", m.SignatureSeconds)
 
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err

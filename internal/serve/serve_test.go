@@ -481,3 +481,59 @@ func TestHealthMetricsDrain(t *testing.T) {
 		t.Errorf("draining reduce = %d, want 503", r3.StatusCode)
 	}
 }
+
+// TestMetricsHistograms scrapes /metrics after a miss, a hit and a junk
+// upload and pins both histograms: their names, one bucket line per
+// bound plus +Inf with non-decreasing cumulative counts, and their sample
+// counts. The signature pass runs for every upload, a junk one included;
+// reduce latency counts only the two served reductions.
+func TestMetricsHistograms(t *testing.T) {
+	upload := encodeTrace(t, workloadTrace(t), 2)
+	srv := NewServer(Config{DegradeAt: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, body := range [][]byte{upload, upload, []byte("not a trace")} {
+		readBody(t, postReduce(t, ts.URL, body, "method=avgWave"))
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(readBody(t, resp))
+	for name, want := range map[string]int64{
+		"tracered_reduce_seconds":    2,
+		"tracered_signature_seconds": 3,
+	} {
+		if !strings.Contains(metrics, "# TYPE "+name+" histogram\n") {
+			t.Errorf("metrics output missing the %s histogram", name)
+			continue
+		}
+		var buckets []int64
+		for _, line := range strings.Split(metrics, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+"_bucket{le="); ok {
+				var n int64
+				if _, err := fmt.Sscan(rest[strings.Index(rest, " ")+1:], &n); err != nil {
+					t.Fatalf("bucket line %q: %v", line, err)
+				}
+				buckets = append(buckets, n)
+			}
+		}
+		if len(buckets) != len(DefaultLatencyBuckets())+1 {
+			t.Fatalf("%s: %d bucket lines, want %d", name, len(buckets), len(DefaultLatencyBuckets())+1)
+		}
+		for i := 1; i < len(buckets); i++ {
+			if buckets[i] < buckets[i-1] {
+				t.Errorf("%s: bucket counts not cumulative: %v", name, buckets)
+			}
+		}
+		for _, line := range []string{
+			fmt.Sprintf("%s_bucket{le=\"+Inf\"} %d\n", name, want),
+			fmt.Sprintf("%s_count %d\n", name, want),
+			name + "_sum ",
+		} {
+			if !strings.Contains(metrics, line) {
+				t.Errorf("metrics output missing %q", line)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -256,7 +257,9 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	s.metrics.BytesIn.Add(int64(len(body)))
 
 	decOpts := trace.DecoderOptions{Ctx: r.Context(), Limits: s.cfg.Limits}
+	sigBegin := time.Now()
 	sig, err := trace.SignatureOfWith(bytes.NewReader(body), decOpts)
+	s.metrics.SignatureSeconds.Observe(time.Since(sigBegin).Seconds())
 	if err != nil {
 		s.failDecode(w, r, err)
 		return
@@ -350,19 +353,11 @@ func (s *Server) writeReduced(w http.ResponseWriter, p reduceParams, sig trace.S
 		h.Set("X-Tracered-Cache", "miss")
 	}
 	if len(degraded) > 0 {
-		h.Set("X-Tracered-Degraded", joinComma(degraded))
+		h.Set("X-Tracered-Degraded", strings.Join(degraded, ","))
 	}
 	n, _ := w.Write(ent.Body)
 	s.metrics.BytesOut.Add(int64(n))
 	s.metrics.ReduceSeconds.Observe(time.Since(begin).Seconds())
-}
-
-func joinComma(parts []string) string {
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "," + p
-	}
-	return out
 }
 
 // analyzeResponse is the JSON shape of /v1/analyze: the EXPERT-style

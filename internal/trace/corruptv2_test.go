@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 )
 
@@ -217,5 +219,38 @@ func TestDecodeV2HostileHeaderCaps(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			decodeBoth(t, name, data)
 		})
+	}
+}
+
+// TestReadBlockLargePayload: the stream-path block reader starts from a
+// buffer of at most 64 KiB and grows it as the payload arrives; for a
+// payload several times that size it must return the same bytes as the
+// random-access reader, and a cut anywhere inside the payload must end
+// in io.ErrUnexpectedEOF rather than a short payload.
+func TestReadBlockLargePayload(t *testing.T) {
+	tr := New("large_block", 1)
+	for i := 0; i < 40000; i++ {
+		tr.Ranks[0].Events = append(tr.Ranks[0].Events, Event{Name: "do_work", Kind: KindCompute,
+			Enter: Time(i) * 1_000_003, Exit: Time(i)*1_000_003 + Time(i%977)*4099, Peer: NoPeer, Root: NoPeer})
+	}
+	data := encodeV2Bytes(t, tr)
+	e := layoutV2(t, data, traceMagicV2).entries[0]
+	if e.Length < 3<<16 {
+		t.Fatalf("block payload is %d bytes, want more than %d to exercise growth", e.Length, 3<<16)
+	}
+	want, err := ReadBlockAt(bytes.NewReader(data), e)
+	if err != nil {
+		t.Fatalf("ReadBlockAt: %v", err)
+	}
+	block := data[e.Offset : e.Offset+blockHeaderSize+uint64(e.Length)]
+	got, payload, err := ReadBlock(bytes.NewReader(block), e.Offset)
+	if err != nil || got != e || !bytes.Equal(payload, want) {
+		t.Fatalf("ReadBlock = %+v, %d bytes, %v; want %+v, %d bytes", got, len(payload), err, e, len(want))
+	}
+	for _, cut := range []int{blockHeaderSize, blockHeaderSize + 1, blockHeaderSize + 1<<16,
+		blockHeaderSize + 1<<16 + 1, blockHeaderSize + 3<<16, len(block) - 1} {
+		if _, _, err := ReadBlock(bytes.NewReader(block[:cut]), e.Offset); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", cut, len(block), err)
+		}
 	}
 }

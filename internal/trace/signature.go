@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 )
 
@@ -47,6 +46,15 @@ func SignatureOf(r io.Reader) (Signature, error) {
 
 // SignatureOfWith is SignatureOf with explicit decoder options (worker
 // count, allocation caps, cancellation).
+//
+// The hashed stream is: the workload name, the rank count, then per rank
+// its id and event count followed by each event's name, kind, enter,
+// exit, peer, tag, bytes and root. Integers are little-endian uint64s
+// (peer, tag and root widened through uint32); strings are their byte
+// length as such an integer, then their bytes. The stream is assembled
+// in one reusable buffer and handed to the hash in large writes, and
+// each rank's event storage goes back to the decoder once hashed, so a
+// call's allocations do not grow with the trace's event count.
 func SignatureOfWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 	var sig Signature
 	d, err := NewDecoderWith(r, opts)
@@ -55,8 +63,10 @@ func SignatureOfWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 	}
 	defer d.Close()
 	h := sha256.New()
-	hashString(h, d.Name())
-	hashU64(h, uint64(d.NumRanks()))
+	le := binary.LittleEndian
+	buf := make([]byte, 0, signatureFlushAt)
+	buf = appendString(buf, d.Name())
+	buf = le.AppendUint64(buf, uint64(d.NumRanks()))
 	for {
 		rt, err := d.NextRank()
 		if err == io.EOF {
@@ -65,32 +75,39 @@ func SignatureOfWith(r io.Reader, opts DecoderOptions) (Signature, error) {
 		if err != nil {
 			return sig, err
 		}
-		hashU64(h, uint64(rt.Rank))
-		hashU64(h, uint64(len(rt.Events)))
-		for _, e := range rt.Events {
-			hashString(h, e.Name)
-			hashU64(h, uint64(e.Kind))
-			hashU64(h, uint64(e.Enter))
-			hashU64(h, uint64(e.Exit))
-			hashU64(h, uint64(uint32(e.Peer)))
-			hashU64(h, uint64(uint32(e.Tag)))
-			hashU64(h, uint64(e.Bytes))
-			hashU64(h, uint64(uint32(e.Root)))
+		buf = le.AppendUint64(buf, uint64(rt.Rank))
+		buf = le.AppendUint64(buf, uint64(len(rt.Events)))
+		for i := range rt.Events {
+			e := &rt.Events[i]
+			buf = appendString(buf, e.Name)
+			buf = le.AppendUint64(buf, uint64(e.Kind))
+			buf = le.AppendUint64(buf, uint64(e.Enter))
+			buf = le.AppendUint64(buf, uint64(e.Exit))
+			buf = le.AppendUint64(buf, uint64(uint32(e.Peer)))
+			buf = le.AppendUint64(buf, uint64(uint32(e.Tag)))
+			buf = le.AppendUint64(buf, uint64(e.Bytes))
+			buf = le.AppendUint64(buf, uint64(uint32(e.Root)))
+			if len(buf) >= signatureFlushAt {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 		}
+		d.Recycle(rt)
 	}
+	h.Write(buf)
 	h.Sum(sig[:0])
 	return sig, nil
 }
 
-// hashString writes a length-prefixed string into h, so adjacent
-// strings cannot collide by shifting bytes between them.
-func hashString(h hash.Hash, s string) {
-	hashU64(h, uint64(len(s)))
-	io.WriteString(h, s)
-}
+// signatureFlushAt is how much of the hashed stream SignatureOfWith
+// gathers before writing it to the hash. The event that crosses the
+// threshold grows the buffer once; the grown buffer is reused for the
+// rest of the call.
+const signatureFlushAt = 64 << 10
 
-func hashU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+// appendString appends a length-prefixed string, so adjacent strings
+// cannot collide by shifting bytes between them.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
